@@ -8,9 +8,9 @@ BENCH_TRACKED := BenchmarkScenarioSimulate$$|BenchmarkScenarioSimulateAggregate|
 BENCH_COUNT   ?= 10
 BENCH_DIR     ?= .bench
 
-.PHONY: ci vet build test race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
+.PHONY: ci vet build test hermetic race race-httpapi cover fuzz-smoke bench-smoke bench-alloc bench bench-baseline bench-compare batch-equivalence fabric-equivalence store-equivalence vulture-smoke process-equivalence
 
-ci: vet build race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
+ci: vet build hermetic race race-httpapi cover bench-alloc bench-smoke batch-equivalence fabric-equivalence store-equivalence process-equivalence vulture-smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Order- and repetition-independence gate: every test must pass in any
+# order and when run again in the same process, so no test may lean on
+# process-global state (caches, stores, knobs) another test left behind.
+hermetic:
+	$(GO) test -shuffle=on -count=3 ./...
 
 race:
 	$(GO) test -race ./...
@@ -72,10 +78,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzProcessDraw -fuzztime=$(FUZZTIME) ./internal/outage
 	$(GO) test -fuzz=FuzzResultsQuery -fuzztime=$(FUZZTIME) ./internal/resultstore
 
-# Allocation-regression gate: the aggregate simulation path and the sizing
-# inner loop must stay heap-allocation-free (see internal/cluster/alloc_test.go).
+# Allocation-regression gate: the simulation walk and the sizing inner
+# loop must stay heap-allocation-free, the batch walk must allocate nothing
+# per outage point beyond a hybrid's per-point plan (see
+# internal/cluster/alloc_test.go), and warm evaluations must not allocate
+# per candidate (internal/core/alloc_test.go).
 bench-alloc:
-	$(GO) test -run='TestAggregatePathAllocFree|TestRequiredRuntimeAllocFree|TestSimulateAggregateAllocBound' ./internal/cluster/
+	$(GO) test -count=1 -run='TestAggregatePathAllocFree|TestRequiredRuntimeAllocFree|TestSimulateAggregateAllocBound|TestBatchWalkAllocFree|TestWarmEvaluateAllocFree|TestWarmBestForConfigAllocBound' ./internal/cluster/ ./internal/core/
 
 # Single-iteration smokes: the deepest experiment (Fig 6: variant race ×
 # rating sweep × duration fan-out) and the full serial regeneration, so CI
@@ -86,16 +95,21 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkFullRegen -benchtime=1x .
 
 # Byte-equality smoke for the outage-axis batch kernel: the same Fig-5
-# style sweep through cmd/gridrun must produce identical NDJSON with the
-# kernel on (default) and off (-no-batch), at different widths and shard
-# sizes for good measure.
+# style best sweep and an evaluate sweep through cmd/gridrun must produce
+# identical NDJSON batched (default shards, whole outage axes per unit)
+# and unbatched (-shard 1: every row an axis of length one), at different
+# widths for good measure.
 batch-equivalence:
 	@tmp=$$(mktemp -d); \
-	spec='-op best -workloads specjbb -configs MaxPerf,MinCost,NoDG,NoUPS,DG-SmallPUPS,LargeEUPS -outages 30s,90s,5m,12m,30m,45m,1h,2h'; \
-	$(GO) run ./cmd/gridrun $$spec -parallel 1 -o $$tmp/batch.ndjson && \
-	$(GO) run ./cmd/gridrun $$spec -no-batch -parallel 4 -shard 5 -o $$tmp/scalar.ndjson && \
-	cmp $$tmp/batch.ndjson $$tmp/scalar.ndjson && \
-	echo "batch-equivalence: gridrun output identical with and without -no-batch" ; \
+	best='-op best -workloads specjbb -configs MaxPerf,MinCost,NoDG,NoUPS,DG-SmallPUPS,LargeEUPS -outages 30s,90s,5m,12m,30m,45m,1h,2h'; \
+	eval='-workloads specjbb,memcached -configs MaxPerf,NoDG,LargeEUPS -techniques baseline;sleep:low_power=true;throttle-then-save:pstate=3,save=sleep,active_fraction=0.5 -outages 30s,90s,5m,12m,30m,45m,1h,2h'; \
+	$(GO) run ./cmd/gridrun $$best -parallel 1 -o $$tmp/best-batch.ndjson && \
+	$(GO) run ./cmd/gridrun $$best -parallel 4 -shard 1 -o $$tmp/best-single.ndjson && \
+	cmp $$tmp/best-batch.ndjson $$tmp/best-single.ndjson && \
+	$(GO) run ./cmd/gridrun $$eval -parallel 1 -o $$tmp/eval-batch.ndjson && \
+	$(GO) run ./cmd/gridrun $$eval -parallel 4 -shard 1 -o $$tmp/eval-single.ndjson && \
+	cmp $$tmp/eval-batch.ndjson $$tmp/eval-single.ndjson && \
+	echo "batch-equivalence: gridrun best and evaluate output identical batched and at -shard 1" ; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # Byte-equality smoke for the sweep fabric (PR 7): the same spec run

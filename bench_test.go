@@ -350,12 +350,10 @@ func BenchmarkSizingOutageScalar(b *testing.B) {
 	}
 }
 
-// benchGridOutageAxis runs a 32-point outage-axis grid end-to-end through
-// the Runner (serial width, cold cache per iteration) with the batch
-// kernel on or off. This is the acceptance pair: the batched run must
-// stay well ahead of the scalar dispatch at identical output bytes.
-func benchGridOutageAxis(b *testing.B, noBatch bool) {
-	b.Helper()
+// BenchmarkGridOutageAxis runs a 32-point outage-axis grid end-to-end
+// through the Runner (serial width, cold cache per iteration): two batch
+// units of 32 rows each.
+func BenchmarkGridOutageAxis(b *testing.B) {
 	outs := make([]string, 32)
 	for i, d := range benchOutageAxis(32) {
 		outs[i] = d.String()
@@ -376,7 +374,7 @@ func benchGridOutageAxis(b *testing.B, noBatch bool) {
 	for i := 0; i < b.N; i++ {
 		core.ResetScenarioCache()
 		rows := 0
-		err := r.RunStream(ctx, plan, grid.RunOptions{NoBatch: noBatch}, func(row grid.RowResult) error {
+		err := r.RunStream(ctx, plan, grid.RunOptions{}, func(row grid.RowResult) error {
 			if row.Err != nil {
 				return row.Err
 			}
@@ -391,9 +389,6 @@ func benchGridOutageAxis(b *testing.B, noBatch bool) {
 		}
 	}
 }
-
-func BenchmarkGridOutageAxis(b *testing.B)        { benchGridOutageAxis(b, false) }
-func BenchmarkGridOutageAxisNoBatch(b *testing.B) { benchGridOutageAxis(b, true) }
 
 func BenchmarkBestForConfig(b *testing.B) {
 	fw := backuppower.NewFramework(16)

@@ -8,9 +8,7 @@
 // matter which finished first.
 //
 // -cpuprofile and -memprofile write pprof profiles of the regeneration
-// (analyze with `go tool pprof`); -dense-sizing switches the UPS sizing
-// sweep back to the dense 65-point grid for cross-checking the bracketed
-// search.
+// (analyze with `go tool pprof`).
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"backuppower/internal/core"
 	"backuppower/internal/experiments"
 	"backuppower/internal/report"
 	"backuppower/internal/sweep"
@@ -38,11 +35,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the regeneration after this long (0 = no limit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	denseSizing := flag.Bool("dense-sizing", false,
-		"use the dense 65-point UPS rating sweep instead of the bracketed search")
 	flag.Parse()
-
-	core.DenseSizingGrid = *denseSizing
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -12,9 +12,9 @@
 //	        -techniques 'throttling:pstate=2;sleep:low_power=true' -outages 30m
 //	gridrun -op size -variants -outages 30s,30m,2h -format table
 //
-// -parallel sets the worker-pool width, -shard the emission batch size,
-// and -no-batch disables the outage-axis batch kernel; none of them
-// changes the output bytes. -store-dir persists evaluated rows in a
+// -parallel sets the worker-pool width and -shard the emission batch size
+// (-shard 1 evaluates every row alone, outside any outage-axis batch);
+// neither changes the output bytes. -store-dir persists evaluated rows in a
 // result store, so rerunning a spec (or any overlapping spec) evaluates
 // only rows the store has never seen — still byte-identical output;
 // -store-stats prints the store's counters to stderr afterwards. Rows
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	parallel := fs.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = serial); output is identical at any width")
 	shard := fs.Int("shard", 0, "rows per emitted shard (0 = default); output is identical at any size")
-	noBatch := fs.Bool("no-batch", false, "disable the outage-axis batch kernel (debug; output is identical either way)")
 	timeout := fs.Duration("timeout", 0, "overall evaluation deadline (0 = none)")
 	format := fs.String("format", "ndjson", "output format: ndjson or table")
 	out := fs.String("o", "", "write output to a file instead of stdout")
@@ -133,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	opts := grid.RunOptions{ShardSize: *shard, NoBatch: *noBatch}
+	opts := grid.RunOptions{ShardSize: *shard}
 	if *progress {
 		opts.Progress = func(p grid.Progress) {
 			fmt.Fprintf(stderr, "gridrun: shard %d/%d (%d/%d rows)\n", p.Shard, p.Shards, p.RowsDone, p.Rows)

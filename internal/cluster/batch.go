@@ -9,31 +9,15 @@ import (
 	"backuppower/internal/technique"
 )
 
-// batchCut is one requested outage on the shared walk: the reporting
-// window T, the point where its plan pressure ends (effEnd, which is the
-// scalar walk's horizon for that outage), and the caller's slot for the
-// result. Cuts are processed in effEnd order along the walk.
-type batchCut struct {
-	T, effEnd time.Duration
-	out       int
-}
-
 // SimulateOutageBatch evaluates one scenario across a whole outage axis,
 // returning results[i] bit-identical to SimulateAggregate with
 // s.Outage = outages[i]. The Outage field of s is ignored; the axis may be
 // unsorted and contain duplicates.
 //
 // For techniques declaring technique.OutageInvariantPlanner the plan is
-// constructed once and a single segment walk up to max(outages) serves
-// every point: at each cut the running walk state is snapshotted (a plain
-// struct copy) and the outage epilogue runs on the snapshot, so per-point
-// work is O(1) and allocation-free. The snapshot is exact because the walk
-// up to a cut never depends on what lies beyond it: a horizon only ever
-// truncates the final segment, capping violations fire at segment starts,
-// and battery exhaustion inside a segment yields the same sustained time
-// whatever the segment's remaining length (battery.State.Drain's empty
-// branch ignores dt). Techniques whose plans scale with the outage are
-// simulated per point through the identical scalar path.
+// constructed once and a single walk up to max(outages) serves every
+// point, one cut per outage. Techniques whose plans scale with the outage
+// are planned and walked per point, each with one cut.
 func SimulateOutageBatch(s Scenario, outages []time.Duration) ([]Result, error) {
 	if len(outages) == 0 {
 		return nil, nil
@@ -61,21 +45,12 @@ func SimulateOutageBatch(s Scenario, outages []time.Duration) ([]Result, error) 
 		return results, nil
 	}
 
-	// Plan once: the declared invariance makes the outage argument inert.
-	plan := s.Technique.Plan(s.Env, s.Workload, outages[0])
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	fixedEnd := fixedPhasesEnd(plan)
-
-	cuts := make([]batchCut, len(outages))
-	var dgEndsOutage bool
+	cuts := make([]cut, len(outages))
 	for i, d := range outages {
-		effEnd, dgEnds := effectivePressureEnd(s, d)
-		cuts[i] = batchCut{T: d, effEnd: effEnd, out: i}
-		dgEndsOutage = dgEnds
+		effEnd, _ := effectivePressureEnd(s, d)
+		cuts[i] = cut{T: d, effEnd: effEnd, out: i}
 	}
-	slices.SortFunc(cuts, func(a, b batchCut) int {
+	slices.SortFunc(cuts, func(a, b cut) int {
 		if c := cmp.Compare(a.effEnd, b.effEnd); c != 0 {
 			return c
 		}
@@ -84,47 +59,10 @@ func SimulateOutageBatch(s Scenario, outages []time.Duration) ([]Result, error) 
 		}
 		return cmp.Compare(a.out, b.out)
 	})
-	horizon := cuts[len(cuts)-1].effEnd
-
-	// The battery cost model is outage-invariant: derive it once for the
-	// axis rather than at every cut's epilogue.
-	normCost := s.Backup.NormalizedCost(s.Env.PeakPower())
-
-	var st walkState
-	st.unit.Config = s.Backup.UPS
-	emit := func(c batchCut) {
-		cl := st
-		results[c.out] = cl.finish(s, plan, c.T, c.effEnd, fixedEnd, dgEndsOutage, normCost)
-	}
-
-	ci := 0
-	cur := newSegCursor(plan, s.Backup.DG, horizon)
-	var seg Segment
-	walking := true
-	for walking && cur.next(&seg) {
-		// Cuts whose pressure window closed at or before this segment's
-		// start: their scalar walk never saw this segment.
-		for ci < len(cuts) && cuts[ci].effEnd <= seg.Start {
-			emit(cuts[ci])
-			ci++
-		}
-		// Cuts strictly inside the segment: the scalar horizon truncates
-		// exactly this segment, so walk a truncated copy on a snapshot.
-		for ci < len(cuts) && cuts[ci].effEnd < seg.End {
-			cl := st
-			trunc := seg
-			trunc.End = cuts[ci].effEnd
-			cl.step(&trunc)
-			results[cuts[ci].out] = cl.finish(s, plan, cuts[ci].T, cuts[ci].effEnd, fixedEnd, dgEndsOutage, normCost)
-			ci++
-		}
-		walking = st.step(&seg)
-	}
-	// Remaining cuts see the final state: either every segment ran (cuts
-	// at the walk horizon), or the walk terminated early — at an instant
-	// and in a condition identical under any of the longer horizons left.
-	for ; ci < len(cuts); ci++ {
-		emit(cuts[ci])
+	// Plan once: the declared invariance makes the outage argument inert.
+	plan := s.Technique.Plan(s.Env, s.Workload, outages[0])
+	if err := walk(s, plan, cuts, recorder{}, results); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

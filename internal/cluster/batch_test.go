@@ -27,7 +27,8 @@ func batchAxis() []time.Duration {
 // full variant set (invariant planners and the outage-scaling hybrids),
 // every Table 3 configuration, every workload, and a 16-point
 // unsorted-with-duplicates axis, SimulateOutageBatch must equal per-point
-// SimulateAggregate bit for bit — exact struct equality, no tolerance.
+// Simulate (the trace-recording oracle, traces stripped) bit for bit —
+// exact struct equality, no tolerance.
 func TestBatchMatchesScalar(t *testing.T) {
 	env := technique.DefaultEnv(16)
 	peak := env.PeakPower()
@@ -46,10 +47,11 @@ func TestBatchMatchesScalar(t *testing.T) {
 				}
 				for i, d := range outages {
 					s.Outage = d
-					want, err := cluster.SimulateAggregate(s)
+					want, err := cluster.Simulate(s)
 					if err != nil {
 						t.Fatalf("%s/%s/%s/%v: scalar: %v", v.Tech.Name(), w.Name, b.Name, d, err)
 					}
+					want.PerfTrace, want.PowerTrace = nil, nil
 					if got[i] != want {
 						t.Errorf("%s/%s/%s/%v: batch diverges from scalar\n got %+v\nwant %+v",
 							v.Tech.Name(), w.Name, b.Name, d, got[i], want)

@@ -9,10 +9,11 @@
 // depletion integrates analytically (with Peukert nonlinearity handled by
 // the battery model's fractional-depletion state).
 //
-// The sweep has two entry points sharing one core: SimulateAggregate walks
-// the segments through an allocation-free cursor and keeps only running
-// aggregates (the path every framework sweep takes), while Simulate
-// additionally records the perf/power timelines for reporting tools.
+// Every entry point runs the same segment walk: SimulateAggregate keeps
+// only running aggregates (the path every framework sweep takes),
+// SimulateOutageBatch serves a whole outage axis from one walk, and
+// Simulate additionally records the perf/power timelines for reporting
+// tools.
 package cluster
 
 import (
@@ -144,19 +145,16 @@ func (r *recorder) setPower(at time.Duration, v float64) {
 }
 
 // Simulate runs the scenario and records the perf/power timelines on the
-// returned Result — the entry point for timeline tooling (cmd/backupsim).
-// Aggregate-only callers should prefer SimulateAggregate, which skips the
-// trace bookkeeping entirely; both produce bit-identical metrics.
+// returned Result — the entry point for timeline tooling (cmd/backupsim)
+// and the reference the batch tests compare against. Aggregate-only
+// callers should prefer SimulateAggregate, which skips the trace
+// bookkeeping entirely; both produce bit-identical metrics.
 func Simulate(s Scenario) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	plan := s.Technique.Plan(s.Env, s.Workload, s.Outage)
 	rec := recorder{
 		perfTrace:  simkit.NewTrace("perf", 0),
 		powerTrace: simkit.NewTrace("backup-load", 0),
 	}
-	res, err := simulatePlan(s, plan, &rec)
+	res, err := simulatePoint(s, rec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -170,20 +168,30 @@ func Simulate(s Scenario) (Result, error) {
 // Every sweep in the framework — sizing, variant races, Monte-Carlo — goes
 // through this path.
 func SimulateAggregate(s Scenario) (Result, error) {
+	return simulatePoint(s, recorder{})
+}
+
+// simulatePoint plans the scenario and walks it with one stack-held cut
+// at s.Outage.
+func simulatePoint(s Scenario, rec recorder) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
 	plan := s.Technique.Plan(s.Env, s.Workload, s.Outage)
-	var rec recorder
-	return simulatePlan(s, plan, &rec)
+	effEnd, _ := effectivePressureEnd(s, s.Outage)
+	cuts := [1]cut{{T: s.Outage, effEnd: effEnd}}
+	var res [1]Result
+	if err := walk(s, plan, cuts[:], rec, res[:]); err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 // walkState is the running state of a segment walk: the UPS depletion, the
 // metric accumulators, and the early-termination markers. It is a plain
-// value — copying it snapshots the walk, which is how the batch kernel
-// emits per-outage metrics at each cut point without re-walking the shared
-// prefix (and how the scalar path keeps its zero-allocation discipline:
-// everything lives on the stack).
+// value — copying it snapshots the walk, which is how walk emits
+// per-outage metrics at each cut point without re-walking the shared
+// prefix, and everything lives on the stack.
 type walkState struct {
 	unit ups.Unit
 	rec  recorder
@@ -201,8 +209,7 @@ type walkState struct {
 
 // step advances the walk by one segment, returning false when the walk
 // terminates inside it (power-capping violation or battery exhaustion).
-// The body is the exact per-segment logic of the original single-pass
-// sweep; bit-identity between the scalar and batch paths rests on both
+// Bit-identity between a one-cut walk and a many-cut walk rests on both
 // funneling through it with identical segment sequences.
 func (st *walkState) step(seg *Segment) bool {
 	dur := seg.End - seg.Start
@@ -253,11 +260,9 @@ func (st *walkState) step(seg *Segment) bool {
 
 // finish runs the outage epilogue on the walked state for reporting window
 // T (with its effective pressure end effEnd) and assembles the Result. It
-// mutates the receiver's recorder (the post-walk perf edges), so the batch
-// kernel always calls it on a snapshot, never on the running state.
-// normCost is the precomputed s.Backup.NormalizedCost(s.Env.PeakPower()) —
-// outage-invariant, so the batch kernel computes it once per axis instead
-// of re-deriving the battery cost model at every cut.
+// mutates the receiver's recorder (the post-walk perf edges), so walk
+// always calls it on a snapshot, never on the running state. normCost is
+// the precomputed s.Backup.NormalizedCost(s.Env.PeakPower()).
 func (st *walkState) finish(s Scenario, plan technique.Plan, T, effEnd, fixedPhasesEnd time.Duration, dgEndsOutage bool, normCost float64) Result {
 	res := Result{
 		Technique: plan.Technique,
@@ -362,31 +367,72 @@ func fixedPhasesEnd(plan technique.Plan) time.Duration {
 	return end
 }
 
-// simulatePlan is the shared simulation core: an exact piecewise sweep of
-// the plan against the backup through the allocation-free segment cursor.
-// With a trace-less recorder the whole call is allocation-free (pinned by
-// TestAggregatePathAllocFree).
-func simulatePlan(s Scenario, plan technique.Plan, rec *recorder) (Result, error) {
+// cut is one requested outage on a walk: the reporting window T, the
+// point where its plan pressure ends (effEnd, the walk's horizon for that
+// outage alone), and the caller's slot for its result.
+type cut struct {
+	T, effEnd time.Duration
+	out       int
+}
+
+// walk is the one simulation segment walk: an exact piecewise sweep of the
+// plan against the backup through the allocation-free segment cursor, up
+// to the last cut's horizon. cuts must be sorted by effEnd. At each cut
+// the running state is snapshotted (a plain struct copy) and the outage
+// epilogue runs on the snapshot, writing results[c.out]; per-cut work is
+// O(1) and allocation-free. A snapshot is exact because the walk up to a
+// cut never depends on what lies beyond it: a horizon only ever truncates
+// the final segment, capping violations fire at segment starts, and
+// battery exhaustion inside a segment yields the same sustained time
+// whatever the segment's remaining length (battery.State.Drain's empty
+// branch ignores dt).
+//
+// rec is the running recorder. A trace-less recorder keeps the whole call
+// allocation-free (pinned by TestAggregatePathAllocFree); Simulate
+// attaches traces as observers, which is only meaningful with one cut —
+// snapshots share the trace pointers.
+func walk(s Scenario, plan technique.Plan, cuts []cut, rec recorder, results []Result) error {
 	if err := plan.Validate(); err != nil {
-		return Result{}, err
+		return err
+	}
+	_, dgEndsOutage := effectivePressureEnd(s, cuts[0].T)
+	fixedEnd := fixedPhasesEnd(plan)
+	// The battery cost model is outage-invariant: derive it once per walk
+	// rather than at every cut's epilogue.
+	normCost := s.Backup.NormalizedCost(s.Env.PeakPower())
+	emit := func(st walkState, c *cut) {
+		results[c.out] = st.finish(s, plan, c.T, c.effEnd, fixedEnd, dgEndsOutage, normCost)
 	}
 
-	T := s.Outage
-	effEnd, dgEndsOutage := effectivePressureEnd(s, T)
-	fixedEnd := fixedPhasesEnd(plan)
-
-	st := walkState{unit: ups.Unit{Config: s.Backup.UPS}, rec: *rec}
-	cur := newSegCursor(plan, s.Backup.DG, effEnd)
+	st := walkState{unit: ups.Unit{Config: s.Backup.UPS}, rec: rec}
+	ci := 0
+	cur := newSegCursor(plan, s.Backup.DG, cuts[len(cuts)-1].effEnd)
 	var seg Segment
 	for cur.next(&seg) {
+		// Cuts whose pressure window closed at or before this segment's
+		// start: their own walk never saw this segment.
+		for ; ci < len(cuts) && cuts[ci].effEnd <= seg.Start; ci++ {
+			emit(st, &cuts[ci])
+		}
+		// Cuts strictly inside the segment: their horizon truncates
+		// exactly this segment, so step a truncated copy on a snapshot.
+		for ; ci < len(cuts) && cuts[ci].effEnd < seg.End; ci++ {
+			cl, trunc := st, seg
+			trunc.End = cuts[ci].effEnd
+			cl.step(&trunc)
+			emit(cl, &cuts[ci])
+		}
 		if !st.step(&seg) {
 			break
 		}
 	}
-	res := st.finish(s, plan, T, effEnd, fixedEnd, dgEndsOutage,
-		s.Backup.NormalizedCost(s.Env.PeakPower()))
-	*rec = st.rec
-	return res, nil
+	// Remaining cuts see the final state: either every segment ran (cuts
+	// at the walk horizon), or the walk terminated early — at an instant
+	// and in a condition identical under any of the longer horizons left.
+	for ; ci < len(cuts); ci++ {
+		emit(st, &cuts[ci])
+	}
+	return nil
 }
 
 // unavailableTail sums the unavailable portions of fixed plan phases that

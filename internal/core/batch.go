@@ -14,52 +14,67 @@ import (
 
 // EvaluateBatch evaluates one (backup, technique, workload) triple across a
 // whole outage axis, returning results[i] identical to Evaluate at
-// outages[i]. It shares the scenario memo cache with the scalar path in
-// both directions: points already memoized are served from cache (a warm
-// hit splits the batch — only the cold points are walked, through one
+// outages[i]. It shares the scenario memo cache with Evaluate in both
+// directions: points already memoized are served from cache (a warm hit
+// splits the batch — only the cold points are walked, through one
 // cluster.SimulateOutageBatch call), and the cold points' results seed the
-// cache for later scalar callers. Hit/miss accounting matches the scalar
-// path exactly: a warm point is one hit, a cold point is one miss.
+// cache for later callers. Hit/miss accounting matches Evaluate exactly: a
+// warm point is one hit, a cold point is one miss.
 func (f *Framework) EvaluateBatch(b cost.Backup, tech technique.Technique, w workload.Spec, outages []time.Duration) ([]cluster.Result, error) {
 	if len(outages) == 0 {
 		return nil, nil
 	}
+	if err := f.validateAxis(outages); err != nil {
+		return nil, err
+	}
+	results := make([]cluster.Result, len(outages))
+	if err := f.evaluateAxis(b, tech, w, outages, results); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// validateAxis applies validateCall to every point of an outage axis.
+func (f *Framework) validateAxis(outages []time.Duration) error {
 	for _, d := range outages {
 		if err := f.validateCall(d); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	scn := cluster.Scenario{Env: f.Env, Workload: w, Backup: b, Technique: tech}
-	if !keyable(scn) {
-		return cluster.SimulateOutageBatch(scn, outages)
-	}
+	return nil
+}
 
-	results := make([]cluster.Result, len(outages))
-	keys := make([]cacheKey, len(outages))
-	var coldIdx []int
+// evaluateAxis is EvaluateBatch on a validated, non-empty axis, writing
+// results[i] into dst[i]. A fully warm axis allocates nothing.
+func (f *Framework) evaluateAxis(b cost.Backup, tech technique.Technique, w workload.Spec, outages []time.Duration, dst []cluster.Result) error {
+	scn := cluster.Scenario{Env: f.Env, Workload: w, Backup: b, Technique: tech, Outage: outages[0]}
+	if !keyable(scn) {
+		res, err := cluster.SimulateOutageBatch(scn, outages)
+		copy(dst, res)
+		return err
+	}
 	// One digest of the outage-invariant scenario content covers the whole
 	// axis: cacheKey carries the outage verbatim, so per-point keys are a
 	// struct copy plus an outage stamp — no per-point content hashing. The
 	// persistent tier's keys follow the same split (stableAxisKeys digests
 	// the invariant content once and stamps outages per point).
-	scn.Outage = outages[0]
-	base := f.scenarioCacheKey(scn)
+	key := f.scenarioCacheKey(scn)
 	st := scenarioStore()
 	stableAt := f.stableAxisKeys(scn, st.Persistent())
+	var coldIdx []int
 	for i, d := range outages {
-		keys[i] = base
-		keys[i].outage = d
-		if v, err, ok := st.Peek(keys[i], stableAt(d)); ok {
+		key.outage = d
+		if v, err, ok := st.Peek(key, stableAt(d)); ok {
 			if err != nil {
-				return nil, err
+				return err
 			}
-			results[i] = v
+			dst[i] = v
 			continue
 		}
 		coldIdx = append(coldIdx, i)
 	}
 	if len(coldIdx) == 0 {
-		return results, nil
+		return nil
 	}
 
 	cold := make([]time.Duration, len(coldIdx))
@@ -68,22 +83,22 @@ func (f *Framework) EvaluateBatch(b cost.Backup, tech technique.Technique, w wor
 	}
 	batch, err := cluster.SimulateOutageBatch(scn, cold)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for j, i := range coldIdx {
-		res := batch[j]
 		// Seeding through Do keeps the singleflight and counter semantics:
 		// the first seed for a key counts the miss, a duplicate outage (or
-		// a racing scalar Evaluate) joins the existing entry as a hit, and
+		// a racing Evaluate) joins the existing entry as a hit, and
 		// whatever the entry holds is what every caller sees. Seed also
 		// writes the winning value through to the persistent tier.
-		got, err := st.Seed(keys[i], stableAt(outages[i]), res)
+		key.outage = outages[i]
+		got, err := st.Seed(key, stableAt(outages[i]), batch[j])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		results[i] = got
+		dst[i] = got
 	}
-	return results, nil
+	return nil
 }
 
 // EvaluateBatchCtx is EvaluateBatch with the same up-front cancellation
@@ -132,59 +147,74 @@ type BestPoint struct {
 	Tech   technique.Technique
 }
 
-// BestForConfigAxisCtx runs the fixed-config technique race across an
-// outage axis, returning per point exactly what BestForConfigCtx would.
-// The candidate set is identical; each candidate is evaluated over the
-// whole axis in one batch (amortizing plan construction and the segment
-// walk), and the per-outage fold compares candidates in enumeration order
-// with the same dominance rule, so ties resolve as in the scalar race.
+// BestForConfigAxisCtx runs the Figure 5 technique race behind a fixed
+// backup across an outage axis, returning per point exactly what
+// BestForConfigCtx would.
 func (f *Framework) BestForConfigAxisCtx(ctx context.Context, b cost.Backup, w workload.Spec, outages []time.Duration) ([]BestPoint, error) {
-	for _, d := range outages {
-		if err := f.validateCall(d); err != nil {
-			return nil, err
-		}
+	out := make([]BestPoint, len(outages))
+	if err := f.bestForConfigAxis(ctx, b, w, outages, out); err != nil {
+		return nil, err
 	}
-	candidates := append([]variant{
-		{"Baseline", technique.Baseline{}},
-	}, f.variants()...)
+	return out, nil
+}
+
+// bestForConfigAxis is the race itself, writing each outage's winner into
+// dst. Each candidate is evaluated over the whole axis in one batch
+// (amortizing plan construction and the segment walk) into one flat
+// per-(candidate, outage) buffer, and the per-outage fold compares
+// candidates in enumeration order after the parallel evaluation, so ties
+// resolve exactly as in a serial run. Survival dominates, then higher
+// performance, then lower downtime.
+func (f *Framework) bestForConfigAxis(ctx context.Context, b cost.Backup, w workload.Spec, outages []time.Duration, dst []BestPoint) error {
+	if err := f.validateAxis(outages); err != nil {
+		return err
+	}
+	n := len(outages)
+	if n == 0 {
+		return ctx.Err()
+	}
+	// The race in enumeration order: the plain baseline, every technique
+	// variant, and — behind a provisioned UPS — the budget-driven capping
+	// move an underprovisioned UPS (DG-SmallPUPS, SmallP-LargeEUPS) needs
+	// to keep serving under its cap.
+	vs := f.variants()
+	candidates := make([]variant, 1, len(vs)+2)
+	candidates[0] = variant{"Baseline", technique.Baseline{}}
+	candidates = append(candidates, vs...)
 	if b.UPS.Provisioned() {
 		candidates = append(candidates,
 			variant{"CappedThrottling", technique.CappedThrottling{Budget: b.UPS.PowerCapacity}})
 	}
-	type candAxis struct {
-		res []cluster.Result
-		ok  []bool
+	res := make([]cluster.Result, len(candidates)*n)
+	ok := make([]bool, len(candidates)*n)
+	slots := make([]int, len(candidates))
+	for c := range slots {
+		slots[c] = c
 	}
-	results, err := sweep.Map(ctx, candidates, func(ctx context.Context, v variant) (candAxis, error) {
+	_, err := sweep.Map(ctx, slots, func(ctx context.Context, c int) (struct{}, error) {
 		if err := ctx.Err(); err != nil {
-			return candAxis{}, err
+			return struct{}{}, err
 		}
-		res, err := f.EvaluateBatch(b, v.tech, w, outages)
-		if err == nil {
-			ok := make([]bool, len(outages))
-			for i := range ok {
+		tech, lo, hi := candidates[c].tech, c*n, (c+1)*n
+		if f.evaluateAxis(b, tech, w, outages, res[lo:hi]) == nil {
+			for i := lo; i < hi; i++ {
 				ok[i] = true
 			}
-			return candAxis{res: res, ok: ok}, nil
+			return struct{}{}, nil
 		}
-		// A batch failure degrades to the scalar race's semantics: each
-		// point is tried alone and an unevaluable candidate is skipped at
-		// that point only, never aborting the race.
-		ca := candAxis{res: make([]cluster.Result, len(outages)), ok: make([]bool, len(outages))}
+		// A batch failure degrades to per-point evaluation: an unevaluable
+		// candidate is skipped at that point only, never aborting the race.
 		for i, d := range outages {
-			r, err := f.Evaluate(b, v.tech, w, d)
-			if err != nil {
-				continue
-			}
-			ca.res[i], ca.ok[i] = r, true
+			r, err := f.Evaluate(b, tech, w, d)
+			res[lo+i], ok[lo+i] = r, err == nil
 		}
-		return ca, nil
+		return struct{}{}, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	better := func(a, b cluster.Result) bool {
+	better := func(a, b *cluster.Result) bool {
 		if a.Survived != b.Survived {
 			return a.Survived
 		}
@@ -193,18 +223,15 @@ func (f *Framework) BestForConfigAxisCtx(ctx context.Context, b cost.Backup, w w
 		}
 		return a.Downtime < b.Downtime
 	}
-	out := make([]BestPoint, len(outages))
 	for i := range outages {
 		have := false
-		for c, r := range results {
-			if !r.ok[i] {
-				continue
-			}
-			if !have || better(r.res[i], out[i].Result) {
-				out[i] = BestPoint{Result: r.res[i], Tech: candidates[c].tech}
+		for c := range candidates {
+			k := c*n + i
+			if ok[k] && (!have || better(&res[k], &dst[i].Result)) {
+				dst[i] = BestPoint{Result: res[k], Tech: candidates[c].tech}
 				have = true
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

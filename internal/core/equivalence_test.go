@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"backuppower/internal/cluster"
 	"backuppower/internal/cost"
+	"backuppower/internal/technique"
 	"backuppower/internal/workload"
 )
 
@@ -55,6 +57,29 @@ func TestAggregateMatchesSimulate(t *testing.T) {
 	}
 }
 
+// denseMinCostUPS is the reference sizing search the bracketed one
+// replaced: every point of the rating lattice evaluated in index order,
+// folded with the same strict-< argmin.
+func denseMinCostUPS(f *Framework, tech technique.Technique, w workload.Spec, outage time.Duration) (OperatingPoint, bool) {
+	l := f.newRatingLattice(tech, w, outage)
+	if l.peakNeed <= 0 {
+		// A zero-draw plan has no lattice to search.
+		return f.MinCostUPS(tech, w, outage)
+	}
+	best, bestCost := -1, math.Inf(1)
+	var cands [ratingSteps + 1]ratingCandidate
+	for i := range cands {
+		cands[i] = l.candidate(i)
+		if cands[i].ok && cands[i].cost < bestCost {
+			best, bestCost = i, cands[i].cost
+		}
+	}
+	if best < 0 {
+		return OperatingPoint{}, false
+	}
+	return l.operatingPoint(cands[best].backup)
+}
+
 // TestBracketSizingMatchesDenseGrid pins the bracketed coarse-then-refine
 // rating search against the dense 65-point sweep it replaced: for every
 // technique variant, workload and outage in the sizing-heavy grid, both
@@ -65,20 +90,13 @@ func TestAggregateMatchesSimulate(t *testing.T) {
 // valley. Exact equality (not just within-one-step) keeps every downstream
 // figure byte-identical whichever search runs.
 func TestBracketSizingMatchesDenseGrid(t *testing.T) {
-	if DenseSizingGrid {
-		t.Fatal("DenseSizingGrid must default to false")
-	}
-	defer func() { DenseSizingGrid = false }()
-
 	f := New(16)
 	outages := []time.Duration{30 * time.Second, 30 * time.Minute, 2 * time.Hour}
 	for _, v := range f.variants() {
 		for _, w := range workload.All() {
 			for _, outage := range outages {
-				DenseSizingGrid = false
 				gotOp, gotOK := f.MinCostUPS(v.tech, w, outage)
-				DenseSizingGrid = true
-				wantOp, wantOK := f.MinCostUPS(v.tech, w, outage)
+				wantOp, wantOK := denseMinCostUPS(f, v.tech, w, outage)
 				if gotOK != wantOK {
 					t.Fatalf("%s/%s/%v: feasibility mismatch: bracket %v, dense %v",
 						v.family, w.Name, outage, gotOK, wantOK)

@@ -44,13 +44,6 @@ type Framework struct {
 	envfp atomic.Pointer[envFPEntry]
 }
 
-// DenseSizingGrid forces MinCostUPS back onto the dense 65-point rating
-// sweep instead of the bracketed coarse-then-refine search. Both are
-// deterministic; the flag exists as an escape hatch (and as the reference
-// the bracket equivalence tests compare against). Set it before starting
-// evaluations — it is read per sizing call without synchronization.
-var DenseSizingGrid bool
-
 // New returns a framework over the paper's default testbed scaled to n
 // servers.
 func New(n int) *Framework {
@@ -113,13 +106,6 @@ func (f *Framework) MinCostUPS(tech technique.Technique, w workload.Spec, outage
 	return op, ok
 }
 
-// ratingCandidate is one point of the UPS-rating sweep.
-type ratingCandidate struct {
-	backup cost.Backup
-	cost   float64
-	ok     bool
-}
-
 // MinCostUPSCtx is MinCostUPS with cancellation: the rating sweep fans out
 // through the shared sweep engine and a context cancellation aborts it.
 // The returned error is non-nil only on cancellation or invalid input
@@ -129,8 +115,81 @@ func (f *Framework) MinCostUPSCtx(ctx context.Context, tech technique.Technique,
 	return op, ok, err
 }
 
-// minCostUPSLattice is the sizing search over the fixed 65-point rating
-// lattice, parameterized by a warm-start hint: warm is the lattice index an
+// ratingSteps is the number of intervals of the UPS-rating lattice.
+const ratingSteps = 64
+
+// ratingCandidate is one point of the UPS-rating sweep.
+type ratingCandidate struct {
+	backup cost.Backup
+	cost   float64
+	ok     bool
+}
+
+// ratingLattice is the sizing search space of one (technique, workload,
+// outage): ratingSteps+1 candidate UPS power ratings on a geometric
+// lattice from the plan's peak need to the datacenter peak.
+type ratingLattice struct {
+	f        *Framework
+	tech     technique.Technique
+	w        workload.Spec
+	outage   time.Duration
+	plan     technique.Plan
+	btech    battery.Technology
+	peakNeed units.Watts
+	lo, hi   float64
+}
+
+func (f *Framework) newRatingLattice(tech technique.Technique, w workload.Spec, outage time.Duration) ratingLattice {
+	l := ratingLattice{f: f, tech: tech, w: w, outage: outage, btech: f.Battery}
+	l.plan = tech.Plan(f.Env, w, outage)
+	l.peakNeed = min(l.plan.PeakPower(), f.Env.PeakPower())
+	if l.btech.Name == "" {
+		l.btech = battery.LeadAcid()
+	}
+	l.lo, l.hi = float64(l.peakNeed), max(float64(f.Env.PeakPower()), float64(l.peakNeed))
+	return l
+}
+
+// candidate sizes the cheapest battery that carries the plan through the
+// outage at lattice point i's rating.
+func (l *ratingLattice) candidate(i int) ratingCandidate {
+	rated := units.Watts(l.lo * math.Pow(l.hi/l.lo, float64(i)/ratingSteps))
+	if rated < l.peakNeed {
+		return ratingCandidate{}
+	}
+	runtime, ok := cluster.RequiredRuntime(l.f.Env, l.w, l.plan, genset.None(), l.outage,
+		rated, l.btech.PeukertExponent, l.btech.MinLoadFraction)
+	if !ok {
+		return ratingCandidate{}
+	}
+	// Tiny provisioning margin so the simulation's fractional depletion
+	// does not land exactly on empty at the outage end, then rounded up
+	// once to whole seconds (battery modules are not sold in nanoseconds).
+	runtime = time.Duration(float64(runtime) * 1.001)
+	if whole := runtime.Truncate(time.Second); whole < runtime {
+		runtime = whole + time.Second
+	}
+	b := cost.CustomTech(fmt.Sprintf("ups-%s", l.tech.Name()), 0, rated, runtime, l.btech)
+	return ratingCandidate{backup: b, cost: float64(b.AnnualCost()), ok: true}
+}
+
+// operatingPoint evaluates the chosen backup and returns it as the
+// operating point when the technique survives behind it.
+func (l *ratingLattice) operatingPoint(b cost.Backup) (OperatingPoint, bool) {
+	res, err := l.f.Evaluate(b, l.tech, l.w, l.outage)
+	if err != nil || !res.Survived {
+		return OperatingPoint{}, false
+	}
+	return OperatingPoint{
+		Technique: l.tech.Name(),
+		Backup:    b,
+		Result:    res,
+		NormCost:  b.NormalizedCost(l.f.Env.PeakPower()),
+	}, true
+}
+
+// minCostUPSLattice is the sizing search over the rating lattice,
+// parameterized by a warm-start hint: warm is the lattice index an
 // adjacent outage's search settled on (-1 for a cold call). The returned
 // index is the chosen lattice point (-1 on the zero-draw path or when
 // sizing fails), which axis callers chain into the next point's hint.
@@ -138,72 +197,30 @@ func (f *Framework) minCostUPSLattice(ctx context.Context, tech technique.Techni
 	if err := f.validateCall(outage); err != nil {
 		return OperatingPoint{}, false, -1, err
 	}
-	plan := tech.Plan(f.Env, w, outage)
-	peakNeed := plan.PeakPower()
-	dcPeak := f.Env.PeakPower()
-	if peakNeed > dcPeak {
-		peakNeed = dcPeak
-	}
-	btech := f.Battery
-	if btech.Name == "" {
-		btech = battery.LeadAcid()
-	}
-
-	consider := func(rated units.Watts) ratingCandidate {
-		if rated < peakNeed {
-			return ratingCandidate{}
-		}
-		runtime, ok := cluster.RequiredRuntime(f.Env, w, plan, genset.None(), outage,
-			rated, btech.PeukertExponent, btech.MinLoadFraction)
-		if !ok {
-			return ratingCandidate{}
-		}
-		// Tiny provisioning margin so the simulation's fractional
-		// depletion does not land exactly on empty at the outage end,
-		// then rounded up once to whole seconds (battery modules are not
-		// sold in nanoseconds).
-		runtime = time.Duration(float64(runtime) * 1.001)
-		if whole := runtime.Truncate(time.Second); whole < runtime {
-			runtime = whole + time.Second
-		}
-		b := cost.CustomTech(fmt.Sprintf("ups-%s", tech.Name()), 0, rated, runtime, btech)
-		return ratingCandidate{backup: b, cost: float64(b.AnnualCost()), ok: true}
-	}
-
-	if peakNeed <= 0 {
+	l := f.newRatingLattice(tech, w, outage)
+	if l.peakNeed <= 0 {
 		// Zero-draw plan (fully state-safe immediately) — no backup needed.
-		b := cost.MinCost(dcPeak)
+		b := cost.MinCost(f.Env.PeakPower())
 		res, err := f.Evaluate(b, tech, w, outage)
 		if err != nil || !res.Survived {
 			return OperatingPoint{}, false, -1, nil
 		}
 		return OperatingPoint{Technique: tech.Name(), Backup: b, Result: res}, true, -1, nil
 	}
-	// Candidate ratings live on a fixed 65-point geometric lattice from
-	// the plan's peak need to the datacenter peak. The dense sweep
-	// evaluates every lattice point; the default bracketed search
-	// evaluates a 9-point coarse pass (stride 8) and then halves the
-	// stride around the running argmin (4, 2, 1) down to the same lattice
-	// resolution — ~15 RequiredRuntime calls instead of 65. The cost
-	// curve over the rating is convex up to the one-second runtime
+	// The reference search evaluates every lattice point; this bracketed
+	// search evaluates a 9-point coarse pass (stride 8) and then halves
+	// the stride around the running argmin (4, 2, 1) down to the same
+	// lattice resolution — ~15 RequiredRuntime calls instead of 65. The
+	// cost curve over the rating is convex up to the one-second runtime
 	// quantization (electronics cost rises linearly, the Peukert battery
 	// term falls like rating^(1-k)), so the bracket lands on the dense
 	// argmin; TestBracketSizingMatchesDenseGrid pins the equivalence
 	// across the registry's whole sizing grid.
-	const steps = 64
-	lo, hi := float64(peakNeed), float64(dcPeak)
-	if hi < lo {
-		hi = lo
-	}
-	ratingAt := func(i int) units.Watts {
-		return units.Watts(lo * math.Pow(hi/lo, float64(i)/steps))
-	}
-
-	var cands [steps + 1]ratingCandidate
-	var seen [steps + 1]bool
+	var cands [ratingSteps + 1]ratingCandidate
+	var seen [ratingSteps + 1]bool
 	evalRound := func(idxs []int) error {
 		got, err := sweep.Map(ctx, idxs, func(_ context.Context, i int) (ratingCandidate, error) {
-			return consider(ratingAt(i)), nil
+			return l.candidate(i), nil
 		})
 		if err != nil {
 			return err
@@ -215,11 +232,11 @@ func (f *Framework) minCostUPSLattice(ctx context.Context, tech technique.Techni
 	}
 	// argmin scans the evaluated lattice points in index order with a
 	// strict <, so ties resolve to the lowest rating — the same fold the
-	// dense serial sweep used. Selection happens only after each round's
+	// dense serial sweep uses. Selection happens only after each round's
 	// parallel results are folded, so the outcome is width-independent.
 	argmin := func() (int, bool) {
 		best, bestCost, found := 0, math.Inf(1), false
-		for i := 0; i <= steps; i++ {
+		for i := 0; i <= ratingSteps; i++ {
 			if seen[i] && cands[i].ok && cands[i].cost < bestCost {
 				best, bestCost, found = i, cands[i].cost, true
 			}
@@ -234,10 +251,10 @@ func (f *Framework) minCostUPSLattice(ctx context.Context, tech technique.Techni
 	// rounds are skipped (~3 rating evaluations instead of ~15). Any tie,
 	// infeasibility, or boundary ambiguity discards the probe and reruns
 	// the standard search on reset state — the cold trajectory exactly.
-	if warm >= 0 && warm <= steps && !DenseSizingGrid {
+	if warm >= 0 && warm <= ratingSteps {
 		probe := make([]int, 0, 3)
 		for _, j := range [3]int{warm - 1, warm, warm + 1} {
-			if j >= 0 && j <= steps {
+			if j >= 0 && j <= ratingSteps {
 				probe = append(probe, j)
 			}
 		}
@@ -251,55 +268,39 @@ func (f *Framework) minCostUPSLattice(ctx context.Context, tech technique.Techni
 			}
 		}
 		if localMin {
-			best := cands[warm].backup
-			res, err := f.Evaluate(best, tech, w, outage)
-			if err != nil || !res.Survived {
+			op, ok := l.operatingPoint(cands[warm].backup)
+			if !ok {
 				return OperatingPoint{}, false, -1, nil
 			}
-			return OperatingPoint{
-				Technique: tech.Name(),
-				Backup:    best,
-				Result:    res,
-				NormCost:  best.NormalizedCost(dcPeak),
-			}, true, warm, nil
+			return op, true, warm, nil
 		}
-		cands = [steps + 1]ratingCandidate{}
-		seen = [steps + 1]bool{}
+		cands = [ratingSteps + 1]ratingCandidate{}
+		seen = [ratingSteps + 1]bool{}
 	}
 
-	if DenseSizingGrid {
-		idxs := make([]int, steps+1)
-		for i := range idxs {
-			idxs[i] = i
-		}
-		if err := evalRound(idxs); err != nil {
-			return OperatingPoint{}, false, -1, err
-		}
-	} else {
-		coarse := [...]int{0, 8, 16, 24, 32, 40, 48, 56, 64}
-		if err := evalRound(coarse[:]); err != nil {
-			return OperatingPoint{}, false, -1, err
-		}
-		// Feasibility is uniform across the lattice (every point sources
-		// the plan's peak need), so an all-infeasible coarse pass means
-		// the dense grid would find nothing either — skip refinement.
-		if c, ok := argmin(); ok {
-			for stride := 4; stride >= 1; stride /= 2 {
-				var round [2]int
-				n := 0
-				for _, j := range [2]int{c - stride, c + stride} {
-					if j >= 0 && j <= steps && !seen[j] {
-						round[n] = j
-						n++
-					}
+	coarse := [...]int{0, 8, 16, 24, 32, 40, 48, 56, 64}
+	if err := evalRound(coarse[:]); err != nil {
+		return OperatingPoint{}, false, -1, err
+	}
+	// Feasibility is uniform across the lattice (every point sources the
+	// plan's peak need), so an all-infeasible coarse pass means the dense
+	// grid would find nothing either — skip refinement.
+	if c, ok := argmin(); ok {
+		for stride := 4; stride >= 1; stride /= 2 {
+			var round [2]int
+			n := 0
+			for _, j := range [2]int{c - stride, c + stride} {
+				if j >= 0 && j <= ratingSteps && !seen[j] {
+					round[n] = j
+					n++
 				}
-				if n > 0 {
-					if err := evalRound(round[:n]); err != nil {
-						return OperatingPoint{}, false, -1, err
-					}
-				}
-				c, _ = argmin()
 			}
+			if n > 0 {
+				if err := evalRound(round[:n]); err != nil {
+					return OperatingPoint{}, false, -1, err
+				}
+			}
+			c, _ = argmin()
 		}
 	}
 
@@ -307,17 +308,11 @@ func (f *Framework) minCostUPSLattice(ctx context.Context, tech technique.Techni
 	if !found {
 		return OperatingPoint{}, false, -1, nil
 	}
-	best := cands[bestIdx].backup
-	res, err := f.Evaluate(best, tech, w, outage)
-	if err != nil || !res.Survived {
+	op, ok := l.operatingPoint(cands[bestIdx].backup)
+	if !ok {
 		return OperatingPoint{}, false, -1, nil
 	}
-	return OperatingPoint{
-		Technique: tech.Name(),
-		Backup:    best,
-		Result:    res,
-		NormCost:  best.NormalizedCost(dcPeak),
-	}, true, bestIdx, nil
+	return op, true, bestIdx, nil
 }
 
 // Band is a (min, max) pair over a technique's variants — the paper's
@@ -393,7 +388,7 @@ func (f *Framework) TechVariants() []TechVariant {
 // active-fraction splits.
 func (f *Framework) variants() []variant {
 	deepest := len(f.Env.Server.PStates) - 1
-	var out []variant
+	out := make([]variant, 0, deepest+24)
 	add := func(family string, t technique.Technique) {
 		out = append(out, variant{family, t})
 	}
@@ -518,58 +513,12 @@ func (f *Framework) BestForConfig(b cost.Backup, w workload.Spec, outage time.Du
 }
 
 // BestForConfigCtx is BestForConfig with the candidate race fanned out
-// through the sweep engine. Candidates are compared in enumeration order
-// after the parallel evaluation, so ties resolve exactly as in a serial
-// run. The error is non-nil only on context cancellation or invalid input.
+// through the sweep engine: the one-outage case of BestForConfigAxisCtx.
+// The error is non-nil only on context cancellation or invalid input.
 func (f *Framework) BestForConfigCtx(ctx context.Context, b cost.Backup, w workload.Spec, outage time.Duration) (cluster.Result, technique.Technique, error) {
-	if err := f.validateCall(outage); err != nil {
+	var best [1]BestPoint
+	if err := f.bestForConfigAxis(ctx, b, w, []time.Duration{outage}, best[:]); err != nil {
 		return cluster.Result{}, nil, err
 	}
-	candidates := append([]variant{
-		{"Baseline", technique.Baseline{}},
-	}, f.variants()...)
-	// Budget-driven capping: the power move an underprovisioned UPS
-	// (DG-SmallPUPS, SmallP-LargeEUPS) needs to keep serving under its
-	// cap — the capping controller picks the fastest fitting P/T state.
-	if b.UPS.Provisioned() {
-		candidates = append(candidates,
-			variant{"CappedThrottling", technique.CappedThrottling{Budget: b.UPS.PowerCapacity}})
-	}
-	type candResult struct {
-		res cluster.Result
-		ok  bool
-	}
-	results, err := sweep.Map(ctx, candidates, func(_ context.Context, v variant) (candResult, error) {
-		res, err := f.Evaluate(b, v.tech, w, outage)
-		if err != nil {
-			// An unevaluable candidate is skipped, exactly as the serial
-			// loop did; it must not abort the race.
-			return candResult{}, nil
-		}
-		return candResult{res: res, ok: true}, nil
-	})
-	if err != nil {
-		return cluster.Result{}, nil, err
-	}
-	var bestRes cluster.Result
-	var bestTech technique.Technique
-	have := false
-	better := func(a, b cluster.Result) bool {
-		if a.Survived != b.Survived {
-			return a.Survived
-		}
-		if !units.AlmostEqual(a.Perf, b.Perf, 1e-6) {
-			return a.Perf > b.Perf
-		}
-		return a.Downtime < b.Downtime
-	}
-	for i, r := range results {
-		if !r.ok {
-			continue
-		}
-		if !have || better(r.res, bestRes) {
-			bestRes, bestTech, have = r.res, candidates[i].tech, true
-		}
-	}
-	return bestRes, bestTech, nil
+	return best[0].Result, best[0].Tech, nil
 }

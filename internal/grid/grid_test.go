@@ -487,6 +487,59 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunUnitErrorFallsBackPerRow pins row-level error isolation inside a
+// batch unit: one row the framework rejects fails the unit's axis call,
+// and the unit is re-evaluated row by row, so only that row carries Err
+// and its neighbours match a ShardSize 1 run (every row its own unit).
+func TestRunUnitErrorFallsBackPerRow(t *testing.T) {
+	specs := map[string]Spec{
+		"evaluate": {
+			Workloads:  []string{"specjbb"},
+			Configs:    []ConfigDTO{{Name: "LargeEUPS"}},
+			Techniques: []TechniqueDTO{{Name: "sleep"}},
+			Outages:    []string{"30s", "5m", "30m"},
+		},
+		"size": {
+			Op:         OpSize,
+			Workloads:  []string{"specjbb"},
+			Techniques: []TechniqueDTO{{Name: "hibernate"}},
+			Outages:    []string{"30s", "5m", "30m"},
+		},
+		"best": {
+			Op:        OpBest,
+			Workloads: []string{"specjbb"},
+			Configs:   []ConfigDTO{{Name: "NoDG"}},
+			Outages:   []string{"30s", "5m", "30m"},
+		},
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			plan := compileOK(t, spec)
+			plan.Points[1].Outage = core.MaxOutage + time.Hour
+			r := NewRunner(core.New(8))
+			batched, err := r.Run(context.Background(), plan, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := r.Run(context.Background(), plan, RunOptions{ShardSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range batched {
+				if (row.Err != nil) != (i == 1) {
+					t.Fatalf("row %d: Err = %v, want an error only on row 1", i, row.Err)
+				}
+				if payload(row) != payload(single[i]) {
+					t.Fatalf("row %d diverges from the ShardSize 1 run\n got %+v\nwant %+v", i, payload(row), payload(single[i]))
+				}
+			}
+			if !errors.Is(batched[1].Err, core.ErrInvalidInput) {
+				t.Fatalf("row 1: Err = %v, want ErrInvalidInput", batched[1].Err)
+			}
+		})
+	}
+}
+
 func TestRowDTOShapes(t *testing.T) {
 	sizeSpec := Spec{
 		Op:        OpSize,

@@ -318,33 +318,52 @@ func payload(r RowResult) rowPayload {
 }
 
 // TestPropertyBatchMatchesScalarDispatch: for random specs at random shard
-// sizes and pool widths, a run with the outage-axis batch kernel must be
-// deeply identical to a run with NoBatch — same rows, same order, same
-// payloads. This is the grid-level dispatch-invisibility contract behind
-// leaving /v1/sweep and gridrun batching on by default.
+// sizes and pool widths, a run with outage-axis batch units must be deeply
+// identical to a ShardSize 1 run, where every unit is one row — same
+// rows, same order, same payloads. Evaluate rows are additionally checked
+// against the trace-recording cluster.Simulate oracle, point by point.
+// This is the grid-level dispatch-invisibility contract behind leaving
+// /v1/sweep and gridrun batching on by default.
 func TestPropertyBatchMatchesScalarDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ctx := context.Background()
+	runner := NewRunner(propFW)
 	for i := 0; i < propScenarios; i++ {
 		spec := genBatchSpec(rng)
 		plan, err := Compile(spec, CompileOptions{DefaultServers: 8})
 		if err != nil {
 			t.Fatalf("scenario %d: compile: %v", i, err)
 		}
-		opts := RunOptions{ShardSize: 1 + rng.Intn(7)}
 		wctx := sweep.WithWidth(ctx, 1+rng.Intn(4))
-		batched, err := NewRunner(propFW).Run(wctx, plan, opts)
+		batched, err := NewRunner(propFW).Run(wctx, plan, RunOptions{ShardSize: 1 + rng.Intn(7)})
 		if err != nil {
 			t.Fatalf("scenario %d: batched run: %v", i, err)
 		}
-		opts.NoBatch = true
-		scalar, err := NewRunner(propFW).Run(wctx, plan, opts)
+		scalar, err := NewRunner(propFW).Run(wctx, plan, RunOptions{ShardSize: 1})
 		if err != nil {
 			t.Fatalf("scenario %d: scalar run: %v", i, err)
 		}
 		if !reflect.DeepEqual(batched, scalar) {
 			t.Fatalf("scenario %d (%s op, %d outages): batch dispatch changed the rows\nspec %+v",
 				i, plan.Op, len(spec.Outages), spec)
+		}
+		if plan.Op != OpEvaluate {
+			continue
+		}
+		for _, row := range batched {
+			p := row.Point
+			want, err := cluster.Simulate(cluster.Scenario{
+				Env: runner.framework(p.Servers).Env, Workload: p.Workload,
+				Backup: p.Config, Technique: p.Technique, Outage: p.Outage,
+			})
+			if (err != nil) != (row.Err != nil) {
+				t.Fatalf("scenario %d row %d: error mismatch: row %v, Simulate %v", i, p.Index, row.Err, err)
+			}
+			want.PerfTrace, want.PowerTrace = nil, nil
+			if err == nil && row.Result != want {
+				t.Fatalf("scenario %d row %d: batch row diverges from Simulate\n got %+v\nwant %+v",
+					i, p.Index, row.Result, want)
+			}
 		}
 	}
 }

@@ -88,13 +88,6 @@ type RunOptions struct {
 	// Progress, when set, is called after each shard completes, from the
 	// emitting goroutine, before the shard's rows are emitted.
 	Progress func(Progress)
-
-	// NoBatch forces per-row scalar dispatch, disabling the outage-axis
-	// batch kernel. Batching is byte-invisible — rows, order, and values
-	// are identical either way — so this is purely a debugging and
-	// verification knob (gridrun's -no-batch flag, the CI byte-equality
-	// smoke, and the dispatch-equivalence property tests).
-	NoBatch bool
 }
 
 // RunStream evaluates the plan's rows in order, fanning each shard out
@@ -109,8 +102,8 @@ type RunOptions struct {
 // (EvaluateBatchCtx / MinCostUPSAxisCtx / BestForConfigAxisCtx), which is
 // where the speedup comes from: Compile emits the outage axis innermost,
 // so a dense axis collapses into a handful of plan constructions and
-// segment walks. Units never span shard boundaries, keeping Progress
-// values and emission timing identical to the scalar dispatch.
+// segment walks. Units never span shard boundaries, so ShardSize 1 is the
+// unbatched reference dispatch: every row an axis of length one.
 // With a row store attached (SetRowStore), each shard consults the store
 // first and dispatches only the rows it has never seen; stored rows merge
 // back at their plan positions, so output bytes, order, and Progress are
@@ -146,7 +139,7 @@ func (r *Runner) RunStream(ctx context.Context, plan *Plan, opts RunOptions, emi
 			merged = make([]RowResult, len(pts))
 			coldPts, coldPos, st = consultStore(store, plan.Op, pts, merged)
 		}
-		units := groupUnits(coldPts, opts.NoBatch)
+		units := groupUnits(coldPts)
 		out, err := sweep.Map(ctx, units, func(ctx context.Context, unit []Point) ([]RowResult, error) {
 			return r.evalUnit(ctx, plan.Op, unit)
 		})
@@ -202,16 +195,14 @@ func (r *Runner) RunStream(ctx context.Context, plan *Plan, opts RunOptions, emi
 }
 
 // groupUnits splits a shard into batch units: maximal runs of consecutive
-// points that are batchable with their predecessor. With noBatch every
-// point is its own unit. Units are subslices — no points are copied.
-func groupUnits(points []Point, noBatch bool) [][]Point {
+// points that are batchable with their predecessor. Units are subslices —
+// no points are copied.
+func groupUnits(points []Point) [][]Point {
 	units := make([][]Point, 0, len(points))
 	for start := 0; start < len(points); {
 		end := start + 1
-		if !noBatch {
-			for end < len(points) && batchable(&points[end-1], &points[end]) {
-				end++
-			}
+		for end < len(points) && batchable(&points[end-1], &points[end]) {
+			end++
 		}
 		units = append(units, points[start:end])
 		start = end
@@ -263,31 +254,24 @@ func (r *Runner) Run(ctx context.Context, plan *Plan, opts RunOptions) ([]RowRes
 	return rows, nil
 }
 
-// evalUnit evaluates one batch unit. Single-point units take the scalar
-// dispatch; longer units go through the axis-batched calls and fall back
-// to per-point scalar evaluation on any non-context error, so row-level
-// Err semantics are identical to the scalar path (a batch call validates
-// the whole axis up front and cannot say which rows are at fault).
+// evalUnit evaluates one batch unit through the axis-batched framework
+// calls; a one-row unit is an axis of length one. Process rows are units
+// of one row and keep their single EvaluateProcessCtx call. Context
+// errors propagate, aborting the run; any other error becomes a row-level
+// Err. A longer unit that fails is re-evaluated row by row, because a
+// batch call validates the whole axis up front and cannot say which rows
+// are at fault.
 func (r *Runner) evalUnit(ctx context.Context, op string, pts []Point) ([]RowResult, error) {
-	rows := make([]RowResult, len(pts))
-	if len(pts) == 1 {
-		row, err := r.evalPoint(ctx, op, pts[0])
-		if err != nil {
-			return nil, err
-		}
-		rows[0] = row
-		return rows, nil
-	}
-
 	fw := r.framework(pts[0].Servers)
+	rows := make([]RowResult, len(pts))
 	outages := make([]time.Duration, len(pts))
 	for i := range pts {
 		outages[i] = pts[i].Outage
 		rows[i].Point = pts[i]
 	}
 	var err error
-	switch op {
-	case OpSize:
+	switch {
+	case op == OpSize:
 		var sz []core.SizingPoint
 		sz, err = fw.MinCostUPSAxisCtx(ctx, pts[0].Technique, pts[0].Workload, outages)
 		if err == nil {
@@ -295,7 +279,7 @@ func (r *Runner) evalUnit(ctx context.Context, op string, pts []Point) ([]RowRes
 				rows[i].Sizing, rows[i].Feasible = sz[i].Op, sz[i].Feasible
 			}
 		}
-	case OpBest:
+	case op == OpBest:
 		var best []core.BestPoint
 		best, err = fw.BestForConfigAxisCtx(ctx, pts[0].Config, pts[0].Workload, outages)
 		if err == nil {
@@ -306,6 +290,12 @@ func (r *Runner) evalUnit(ctx context.Context, op string, pts []Point) ([]RowRes
 				}
 			}
 		}
+	case pts[0].Process != nil:
+		var pr core.ProcessResult
+		pr, err = fw.EvaluateProcessCtx(ctx, pts[0].Config, pts[0].Technique, pts[0].Workload, *pts[0].Process)
+		if err == nil {
+			rows[0].Process = &pr
+		}
 	default: // OpEvaluate
 		var res []cluster.Result
 		res, err = fw.EvaluateBatchCtx(ctx, pts[0].Config, pts[0].Technique, pts[0].Workload, outages)
@@ -315,52 +305,20 @@ func (r *Runner) evalUnit(ctx context.Context, op string, pts []Point) ([]RowRes
 			}
 		}
 	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		for i, p := range pts {
-			row, perr := r.evalPoint(ctx, op, p)
-			if perr != nil {
-				return nil, perr
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return nil, err
+	case len(pts) == 1:
+		rows[0].Err = err
+	default:
+		for i := range pts {
+			row, err := r.evalUnit(ctx, op, pts[i:i+1])
+			if err != nil {
+				return nil, err
 			}
-			rows[i] = row
+			rows[i] = row[0]
 		}
 	}
 	return rows, nil
-}
-
-// evalPoint dispatches one row to its framework call. Context errors
-// propagate (aborting the run); anything else becomes a row-level Err.
-func (r *Runner) evalPoint(ctx context.Context, op string, p Point) (RowResult, error) {
-	fw := r.framework(p.Servers)
-	row := RowResult{Point: p}
-	var err error
-	switch op {
-	case OpSize:
-		row.Sizing, row.Feasible, err = fw.MinCostUPSCtx(ctx, p.Technique, p.Workload, p.Outage)
-	case OpBest:
-		var tech technique.Technique
-		row.Result, tech, err = fw.BestForConfigCtx(ctx, p.Config, p.Workload, p.Outage)
-		if tech != nil {
-			row.Best = tech.Name()
-		}
-	default: // OpEvaluate
-		if p.Process != nil {
-			var pr core.ProcessResult
-			pr, err = fw.EvaluateProcessCtx(ctx, p.Config, p.Technique, p.Workload, *p.Process)
-			if err == nil {
-				row.Process = &pr
-			}
-		} else {
-			row.Result, err = fw.EvaluateCtx(ctx, p.Config, p.Technique, p.Workload, p.Outage)
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return RowResult{}, err
-		}
-		row.Err = err
-	}
-	return row, nil
 }

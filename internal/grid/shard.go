@@ -55,7 +55,7 @@ func (p *Plan) Shards(shardRows int) []RowRange {
 	if n == 0 {
 		return nil
 	}
-	units := groupUnits(p.Points, false)
+	units := groupUnits(p.Points)
 	shards := make([]RowRange, 0, (n+shardRows-1)/shardRows)
 	cur := RowRange{Start: p.Points[0].Index}
 	cur.End = cur.Start

@@ -100,7 +100,7 @@ func TestRunStreamWarmRerunServedFromStore(t *testing.T) {
 				{4, RunOptions{ShardSize: 1}},
 				{2, RunOptions{ShardSize: 3}},
 				{0, RunOptions{ShardSize: 7}},
-				{0, RunOptions{NoBatch: true}},
+				{0, RunOptions{ShardSize: 1}},
 			} {
 				before := disk.Stats()
 				warm := storeRunNDJSON(t, plan, cfg.width, cfg.opts)

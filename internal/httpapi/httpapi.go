@@ -30,9 +30,12 @@ import (
 	"time"
 
 	"backuppower/internal/core"
+	"backuppower/internal/cost"
 	"backuppower/internal/grid"
 	"backuppower/internal/resultstore"
 	"backuppower/internal/sweep"
+	"backuppower/internal/technique"
+	"backuppower/internal/workload"
 )
 
 // Config parameterizes a Server.
@@ -245,59 +248,93 @@ func evalError(err error) *apiError {
 	}
 }
 
+// pointRequest is what the point-evaluation endpoints (/v1/evaluate,
+// /v1/size, /v1/best) share: the outage, the workload, an optional config
+// and technique, and the per-request width and timeout.
+type pointRequest struct {
+	outage, workload, timeout string
+	width                     int
+	config                    *ConfigDTO
+	technique                 *TechniqueDTO
+}
+
+// pointCall is a resolved pointRequest.
+type pointCall struct {
+	outage time.Duration
+	wl     workload.Spec
+	backup cost.Backup
+	tech   technique.Technique
+}
+
+// resolvePoint parses and resolves a point request in a fixed order —
+// outage, timeout, width, workload, config, technique — returning the
+// first failure.
+func (s *Server) resolvePoint(req pointRequest) (c pointCall, timeout time.Duration, err error) {
+	if c.outage, err = parseOutage(req.outage); err != nil {
+		return
+	}
+	if timeout, err = parseTimeout(req.timeout); err != nil {
+		return
+	}
+	if err = parseWidth(req.width); err != nil {
+		return
+	}
+	if c.wl, err = resolveWorkload(req.workload); err != nil {
+		return
+	}
+	if req.config != nil {
+		if c.backup, err = resolveConfig(*req.config, s.deps.peak); err != nil {
+			return
+		}
+	}
+	if req.technique != nil {
+		c.tech, err = resolveTechnique(*req.technique, &s.deps)
+	}
+	return
+}
+
+// servePoint is the shared body of the point-evaluation endpoints: it
+// resolves the request, takes an evaluation slot, derives the evaluation
+// context, and writes eval's response (or its error through evalError).
+func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, req pointRequest, eval func(context.Context, pointCall) (any, error)) {
+	c, timeout, err := s.resolvePoint(req)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if !s.acquire() {
+		writeSaturated(w)
+		return
+	}
+	defer s.release()
+	ctx, cancel := s.evalContext(r, req.width, timeout)
+	defer cancel()
+	if s.testHookEvalStarted != nil {
+		s.testHookEvalStarted(ctx)
+	}
+	resp, err := eval(ctx, c)
+	if err != nil {
+		writeError(w, evalError(err))
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeEvaluateRequest(r.Body)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	outage, err := parseOutage(req.Outage)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	timeout, err := parseTimeout(req.Timeout)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := parseWidth(req.Width); err != nil {
-		writeError(w, err)
-		return
-	}
-	wl, err := resolveWorkload(req.Workload)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	backup, err := resolveConfig(req.Config, s.deps.peak)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tech, err := resolveTechnique(req.Technique, &s.deps)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-
-	if !s.acquire() {
-		writeSaturated(w)
-		return
-	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
-
-	res, err := s.fw.EvaluateCtx(ctx, backup, tech, wl, outage)
-	if err != nil {
-		writeError(w, evalError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, EvaluateResponse{Result: resultDTO(res)})
+	s.servePoint(w, r, pointRequest{outage: req.Outage, workload: req.Workload, timeout: req.Timeout,
+		width: req.Width, config: &req.Config, technique: &req.Technique},
+		func(ctx context.Context, c pointCall) (any, error) {
+			res, err := s.fw.EvaluateCtx(ctx, c.backup, c.tech, c.wl, c.outage)
+			if err != nil {
+				return nil, err
+			}
+			return EvaluateResponse{Result: resultDTO(res)}, nil
+		})
 }
 
 func (s *Server) handleSize(w http.ResponseWriter, r *http.Request) {
@@ -306,48 +343,15 @@ func (s *Server) handleSize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	outage, err := parseOutage(req.Outage)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	timeout, err := parseTimeout(req.Timeout)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := parseWidth(req.Width); err != nil {
-		writeError(w, err)
-		return
-	}
-	wl, err := resolveWorkload(req.Workload)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tech, err := resolveTechnique(req.Technique, &s.deps)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-
-	if !s.acquire() {
-		writeSaturated(w)
-		return
-	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
-
-	op, ok, err := s.fw.MinCostUPSCtx(ctx, tech, wl, outage)
-	if err != nil {
-		writeError(w, evalError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, sizeResponse(op, ok))
+	s.servePoint(w, r, pointRequest{outage: req.Outage, workload: req.Workload, timeout: req.Timeout,
+		width: req.Width, technique: &req.Technique},
+		func(ctx context.Context, c pointCall) (any, error) {
+			op, ok, err := s.fw.MinCostUPSCtx(ctx, c.tech, c.wl, c.outage)
+			if err != nil {
+				return nil, err
+			}
+			return sizeResponse(op, ok), nil
+		})
 }
 
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
@@ -356,52 +360,19 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	outage, err := parseOutage(req.Outage)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	timeout, err := parseTimeout(req.Timeout)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := parseWidth(req.Width); err != nil {
-		writeError(w, err)
-		return
-	}
-	wl, err := resolveWorkload(req.Workload)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	backup, err := resolveConfig(req.Config, s.deps.peak)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-
-	if !s.acquire() {
-		writeSaturated(w)
-		return
-	}
-	defer s.release()
-	ctx, cancel := s.evalContext(r, req.Width, timeout)
-	defer cancel()
-	if s.testHookEvalStarted != nil {
-		s.testHookEvalStarted(ctx)
-	}
-
-	res, tech, err := s.fw.BestForConfigCtx(ctx, backup, wl, outage)
-	if err != nil {
-		writeError(w, evalError(err))
-		return
-	}
-	resp := BestResponse{Result: resultDTO(res)}
-	if tech != nil {
-		resp.Technique = tech.Name()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.servePoint(w, r, pointRequest{outage: req.Outage, workload: req.Workload, timeout: req.Timeout,
+		width: req.Width, config: &req.Config},
+		func(ctx context.Context, c pointCall) (any, error) {
+			res, tech, err := s.fw.BestForConfigCtx(ctx, c.backup, c.wl, c.outage)
+			if err != nil {
+				return nil, err
+			}
+			resp := BestResponse{Result: resultDTO(res)}
+			if tech != nil {
+				resp.Technique = tech.Name()
+			}
+			return resp, nil
+		})
 }
 
 func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {

@@ -261,15 +261,17 @@ func (n *Node) handleData(conn net.Conn) {
 		wireTotal += payload
 		_ = logicalTotal
 	}
-	// Ack cut-over, then adopt the state. The logical amount adopted is
-	// communicated out-of-band by the coordinator (it knows the plan); the
-	// agent just tracks wire traffic.
-	if _, err := conn.Write([]byte{1}); err != nil {
-		return
-	}
+	// Count the received traffic, then ack the cut-over: the source
+	// returns as soon as it reads the ack, so counting afterwards would
+	// let a caller observe the migration done but its bytes missing. The
+	// logical amount adopted is communicated out-of-band by the
+	// coordinator (it knows the plan); the agent just tracks wire traffic.
 	n.mu.Lock()
 	n.wireBytes += wireTotal
 	n.mu.Unlock()
+	// A lost ack needs no handling here: the source, left without it,
+	// reports the migration failed and keeps its state.
+	_, _ = conn.Write([]byte{1})
 }
 
 // AdoptState credits logical state to the node (coordinator-driven after a
